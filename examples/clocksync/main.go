@@ -17,9 +17,8 @@ import (
 
 	spamnet "repro"
 	"repro/internal/baseline"
-	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 const beacons = 20
@@ -46,70 +45,69 @@ func main() {
 // measure sends beacons every 200 µs and returns (skew, latency) samples in
 // microseconds.
 func measure(sys *spamnet.System, hw bool) (*stats.Sample, *stats.Sample) {
-	sess, err := sys.NewSession()
+	runner, err := workload.NewRunner(sys.Router(), sys.SimConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := sess.Simulator()
-	procs := sys.Processors()
-	master := procs[0]
-	var slaves []spamnet.NodeID
-	slaves = append(slaves, procs[1:]...)
-
-	// Light background load: random unicasts.
-	r := rng.New(11)
-	if _, err := traffic.Mixed(s, r, traffic.NetworkAdapter{N: sys.Topology()}, traffic.MixedConfig{
-		RatePerProcPerUs:  0.002,
-		MulticastFraction: 0,
-		Messages:          800,
-	}); err != nil {
+	w := &beaconSync{hw: hw, skews: &stats.Sample{}, lats: &stats.Sample{}}
+	if err := runner.Trial(w, 11); err != nil {
 		log.Fatal(err)
 	}
+	return w.skews, w.lats
+}
 
-	skews := &stats.Sample{}
-	lats := &stats.Sample{}
-	for b := 0; b < beacons; b++ {
-		t0 := int64(b) * 200_000
-		if hw {
-			w, err := s.Submit(t0, master, slaves)
+// beaconSync is one trial: light background unicast load plus the master's
+// beacons, broadcast in hardware (SPAM) or by binomial-tree software
+// forwarding. Completion hooks record each beacon's skew and latency.
+type beaconSync struct {
+	hw          bool
+	skews, lats *stats.Sample
+}
+
+// Name implements workload.Workload.
+func (b *beaconSync) Name() string { return "clocksync" }
+
+// Generate implements workload.Workload.
+func (b *beaconSync) Generate(g *workload.Gen) error {
+	// Light background load: random unicasts.
+	bg := workload.Mixed{RatePerProcPerUs: 0.002, Messages: 800}
+	if err := bg.Generate(g); err != nil {
+		return err
+	}
+	master := g.Proc(0)
+	slaves := make([]spamnet.NodeID, 0, g.NumProcs()-1)
+	for i := 1; i < g.NumProcs(); i++ {
+		slaves = append(slaves, g.Proc(i))
+	}
+	for i := 0; i < beacons; i++ {
+		t0 := int64(i) * 200_000
+		if !b.hw {
+			run, err := baseline.Start(g.Sim, baseline.BinomialTree, t0, master, slaves)
 			if err != nil {
-				log.Fatal(err)
-			}
-			w.OnComplete = func(w *spamnet.Message, _ int64) {
-				first, last := w.ArrivalNs[0], w.ArrivalNs[0]
-				for _, a := range w.ArrivalNs {
-					if a < first {
-						first = a
-					}
-					if a > last {
-						last = a
-					}
-				}
-				skews.Add(float64(last-first) / 1000)
-				lats.Add(float64(w.Latency()) / 1000)
-			}
-		} else {
-			run, err := baseline.Start(s, baseline.BinomialTree, t0, master, slaves)
-			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			run.OnComplete(func(rn *baseline.Run) {
 				first, last := rn.DoneNs, int64(0)
 				for _, at := range rn.DeliveredNs {
-					if at < first {
-						first = at
-					}
-					if at > last {
-						last = at
-					}
+					first, last = min(first, at), max(last, at)
 				}
-				skews.Add(float64(last-first) / 1000)
-				lats.Add(float64(rn.Latency()) / 1000)
+				b.skews.Add(float64(last-first) / 1000)
+				b.lats.Add(float64(rn.Latency()) / 1000)
 			})
+			continue
+		}
+		w, err := g.Submit(t0, master, slaves)
+		if err != nil {
+			return err
+		}
+		w.OnComplete = func(w *spamnet.Message, _ int64) {
+			first, last := w.ArrivalNs[0], w.ArrivalNs[0]
+			for _, a := range w.ArrivalNs {
+				first, last = min(first, a), max(last, a)
+			}
+			b.skews.Add(float64(last-first) / 1000)
+			b.lats.Add(float64(w.Latency()) / 1000)
 		}
 	}
-	if err := sess.Run(); err != nil {
-		log.Fatal(err)
-	}
-	return skews, lats
+	return nil
 }

@@ -68,7 +68,11 @@ func TestRunTopologyDeterministic(t *testing.T) {
 
 func TestRunTopologyRejected(t *testing.T) {
 	svc := newService(t, testSystem(t, 16), 1)
-	for _, topo := range []string{"file:/etc/passwd", "ring:9", "torus:4", "hypercube:30"} {
+	for _, topo := range []string{
+		"file:/etc/passwd", "ring:9", "torus:4", "hypercube:30",
+		// Dimension products that overflow int.
+		"torus:3x6148914691236517206", "fattree:2x70", "fattree:65536x5",
+	} {
 		_, err := svc.Run(context.Background(), topoRequest(topo, 1))
 		if !errors.Is(err, ErrBadTopology) {
 			t.Errorf("%s: got %v, want ErrBadTopology", topo, err)

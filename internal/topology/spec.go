@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -117,27 +118,41 @@ func (sp Spec) String() string {
 }
 
 // Switches predicts the switch count the spec builds (-1 for file specs,
-// whose size is only known after loading). Serving layers use it to bound
-// admission before paying for construction.
+// whose size is only known after loading, and for shapes the family cannot
+// build). Serving layers use it to bound admission before paying for
+// construction, so products saturate at math.MaxInt instead of wrapping
+// around into an admissible size.
 func (sp Spec) Switches() int {
 	switch sp.Family {
 	case "lattice", "gnm":
 		return sp.A
 	case "mesh", "torus":
-		return sp.A * sp.B
+		return mulSat(sp.A, sp.B)
 	case "hypercube":
 		if sp.A < 1 || sp.A > 30 {
 			return -1
 		}
 		return 1 << sp.A
 	case "fattree":
+		if sp.A < 2 || sp.B < 2 {
+			return -1
+		}
+		// levels × k^(levels-1); k >= 2 saturates within 63 products.
 		n := sp.B
-		for i := 0; i < sp.B-1; i++ {
-			n *= sp.A
+		for i := 1; i < sp.B && n < math.MaxInt; i++ {
+			n = mulSat(n, sp.A)
 		}
 		return n
 	}
 	return -1
+}
+
+// mulSat returns a*b for non-negative operands, saturating at math.MaxInt.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Build constructs the network. Random families (lattice, gnm) consume the

@@ -2,6 +2,7 @@ package topology_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,6 +132,36 @@ func TestSpecBuildMatchesPrediction(t *testing.T) {
 		if !net.SwitchGraph().Connected() {
 			t.Errorf("%s: disconnected", s)
 		}
+	}
+}
+
+// TestSpecSwitchesSaturates: dimension products that overflow int must
+// saturate, not wrap around into a small count that admission would accept
+// before Build runs out of memory.
+func TestSpecSwitchesSaturates(t *testing.T) {
+	for _, s := range []string{
+		"torus:3x6148914691236517206",
+		"mesh:4294967296x4294967296",
+		"fattree:2x70",
+		"fattree:65536x5",
+		"fattree:2x1000000000",
+	} {
+		sp, err := topology.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Switches(); got != math.MaxInt {
+			t.Errorf("%s: Switches() = %d, want saturation at %d", s, got, math.MaxInt)
+		}
+	}
+	// A unary fat-tree cannot be built; predicting it must not loop once
+	// per level either.
+	sp, err := topology.ParseSpec("fattree:1x1000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.Switches(); got != -1 {
+		t.Errorf("fattree:1x1000000000: Switches() = %d, want -1", got)
 	}
 }
 

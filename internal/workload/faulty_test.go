@@ -187,3 +187,50 @@ func TestFaultScenarioRegistry(t *testing.T) {
 		t.Fatal("bad drain accepted")
 	}
 }
+
+// TestCheckInvariantsEveryScenario runs the engine's conservation checks
+// (sim.CheckInvariants: credits, live reservations, an idle network holds no
+// flits) after a trial of every registry scenario, on four topology
+// families, without faults and under the poisson and maintenance profiles.
+// The fault profiles are tightened so links actually fail mid-trial.
+func TestCheckInvariantsEveryScenario(t *testing.T) {
+	for _, spec := range []string{"torus:4x4", "fattree:2x3", "gnm:24+8", "lattice:32"} {
+		router := specRouter(t, spec, 3)
+		for _, profile := range []string{"", "poisson", "maintenance"} {
+			r, err := NewRunner(router, smallCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied := 0
+			for _, sc := range Scenarios() {
+				if sc.Name == "replay" {
+					continue // needs a captured trace parameter
+				}
+				p := ClampFanOut(Params{
+					Messages:         50,
+					RatePerProcPerUs: 0.01,
+					FaultProfile:     profile,
+					FaultSeed:        7,
+					FaultMTBFUs:      300,
+					FaultHorizonUs:   1000,
+				}, router.Net.NumProcs)
+				w, err := ApplyFaults(sc.New(p), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Trial(w, 42); err != nil {
+					t.Fatalf("%s/%s/%q: trial: %v", spec, sc.Name, profile, err)
+				}
+				if err := r.Sim().CheckInvariants(); err != nil {
+					t.Fatalf("%s/%s/%q: %v", spec, sc.Name, profile, err)
+				}
+				if inj := r.FaultInjector(); inj != nil && HasFaults(p) {
+					applied += inj.Metrics().EventsApplied
+				}
+			}
+			if profile != "" && applied == 0 {
+				t.Errorf("%s/%q: no fault event applied across the sweep", spec, profile)
+			}
+		}
+	}
+}

@@ -68,9 +68,7 @@ FLEET_RAW=$(go test -run '^$' \
 	-benchmem -benchtime "${FLEET_BENCHTIME:-5x}" ./internal/serve/ 2>&1 | grep -E '^Benchmark' || true)
 
 # PR 7: past the 4096-switch cap — compressed-table compile cost/footprint on
-# large fat-trees, the fused-bitset distribution kernel, and the conservative-
-# parallel driver at 1/2/4/8 shards (bit-identical output; on a single core
-# the extra shards are pure overhead and the numbers record that honestly).
+# large fat-trees and the fused-bitset distribution kernel.
 # The compile cells always run one iteration: one op is minutes at 16k
 # switches. BENCHLARGE=1 adds the 62500-switch headline cell.
 LARGE_FLAGS=""
@@ -78,8 +76,8 @@ LARGE_FLAGS=""
 SCALE_RAW=$(go test -run '^$' \
 	-bench 'BenchmarkLargeFatTreeCompile' \
 	-benchmem -benchtime 1x -timeout 0 $LARGE_FLAGS . 2>&1 | grep -E '^Benchmark' || true)
-PAR_RAW=$(go test -run '^$' \
-	-bench 'BenchmarkDistributionOutputs|BenchmarkParallelRun' \
+DIST_RAW=$(go test -run '^$' \
+	-bench 'BenchmarkDistributionOutputs' \
 	-benchmem -benchtime "${PAR_BENCHTIME:-10x}" . 2>&1 | grep -E '^Benchmark' || true)
 
 # PR 9: observability — the same warm trial through a disabled serveMetrics
@@ -104,7 +102,7 @@ RSWEEP_RAW=$(go test -run '^$' \
 	-bench 'BenchmarkRoutingLatencySweep' \
 	-benchmem -benchtime "${RSWEEP_BENCHTIME:-1x}" . 2>&1 | grep -E '^Benchmark' || true)
 
-if [ -z "$RAW" ] || [ -z "$SWEEP_RAW" ] || [ -z "$FAULT_RAW" ] || [ -z "$FLEET_RAW" ] || [ -z "$SCALE_RAW" ] || [ -z "$PAR_RAW" ] || [ -z "$TELEM_RAW" ] || [ -z "$ROUTING_RAW" ] || [ -z "$RSWEEP_RAW" ]; then
+if [ -z "$RAW" ] || [ -z "$SWEEP_RAW" ] || [ -z "$FAULT_RAW" ] || [ -z "$FLEET_RAW" ] || [ -z "$SCALE_RAW" ] || [ -z "$DIST_RAW" ] || [ -z "$TELEM_RAW" ] || [ -z "$ROUTING_RAW" ] || [ -z "$RSWEEP_RAW" ]; then
 	echo "bench.sh: no benchmark output" >&2
 	exit 1
 fi
@@ -114,7 +112,7 @@ $SWEEP_RAW
 $FAULT_RAW
 $FLEET_RAW
 $SCALE_RAW
-$PAR_RAW
+$DIST_RAW
 $TELEM_RAW
 $ROUTING_RAW
 $RSWEEP_RAW"
@@ -197,19 +195,14 @@ $RSWEEP_RAW"
 		"$(awk -v l="$LOCAL_NS" -v f="$FLEET4_NS" 'BEGIN{printf("%.3f", f/l)}')"
 	printf '    "fleet_retry_overhead_pct": %s,\n' \
 		"$(awk -v c="$CLEAN_NS" -v f="$FAULTY_NS" 'BEGIN{printf("%.1f", 100*(f/c-1))}')"
-	# PR 7: table footprint at 16k switches, the distribution kernel's alloc
-	# count (must be 0), and the parallel driver's shards=8/shards=1 ratio
-	# (<1 only with real cores; 1-core hosts record the scheduling overhead).
+	# PR 7: table footprint at 16k switches and the distribution kernel's
+	# alloc count (must be 0).
 	FT16_MIB=$(echo "$SCALE_RAW" | awk '/fattree:16x4/{for(i=3;i<NF;i+=2) if($(i+1)=="MiB/tables") print $i}')
 	FT16_COMP=$(echo "$SCALE_RAW" | awk '/fattree:16x4/{for(i=3;i<NF;i+=2) if($(i+1)=="x/compression") print $i}')
-	DIST_ALLOCS=$(echo "$PAR_RAW" | awk '/^BenchmarkDistributionOutputs/{for(i=3;i<NF;i+=2) if($(i+1)=="allocs/op") print $i}')
-	P1_NS=$(echo "$PAR_RAW" | awk -v p="$PROCS" '{n=$1; sub("-" p "$","",n)} n ~ /ParallelRun\/shards=1$/{print $3; exit}')
-	P8_NS=$(echo "$PAR_RAW" | awk -v p="$PROCS" '{n=$1; sub("-" p "$","",n)} n ~ /ParallelRun\/shards=8$/{print $3; exit}')
+	DIST_ALLOCS=$(echo "$DIST_RAW" | awk '/^BenchmarkDistributionOutputs/{for(i=3;i<NF;i+=2) if($(i+1)=="allocs/op") print $i}')
 	printf '    "fattree16k_table_mib": %s,\n' "${FT16_MIB:-0}"
 	printf '    "fattree16k_compression_x": %s,\n' "${FT16_COMP:-0}"
 	printf '    "distribution_allocs_op": %s,\n' "${DIST_ALLOCS:-0}"
-	printf '    "parallel_shards8_vs_1_ratio": %s,\n' \
-		"$(awk -v a="$P1_NS" -v b="$P8_NS" 'BEGIN{printf("%.3f", b/a)}')"
 	# PR 9: telemetry overhead — instrumented-vs-plain percentage on the warm
 	# trial hot path and on a full fleet /run, plus the alloc delta (the
 	# zero-allocation contract; the AllocsPerRun test guards it exactly, this
