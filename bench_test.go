@@ -396,9 +396,10 @@ func BenchmarkSessionReset(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw engine speed: events per second
-// on a 128-node broadcast (the microbenchmark that bounds every experiment's
-// wall-clock cost).
+// BenchmarkSimulatorThroughput measures raw engine speed on a 128-node
+// broadcast (the microbenchmark that bounds every experiment's wall-clock
+// cost): ns/event is the engine rung of the perf ladder, events/broadcast
+// the work one broadcast takes.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	sys, err := NewLattice(128, WithSeed(7))
 	if err != nil {
@@ -420,6 +421,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		events += sess.Counters().Events
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(events)/float64(b.N), "events/broadcast")
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -29,8 +30,10 @@ func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		q.Push(event{t: int64(i * 10), seq: uint64(i), kind: evKind(i % 5)})
 	}
-	for q.Len() > 0 {
-		q.Pop()
+	for {
+		if _, ok := q.PopUntil(math.MaxInt64); !ok {
+			break
+		}
 	}
 	now := int64(100000)
 	seq := uint64(1000)
@@ -42,8 +45,11 @@ func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 			q.Push(event{t: now + 40, seq: seq, kind: evRoute})
 			now += 10
 		}
-		for q.Len() > 0 {
-			ev := q.Pop()
+		for {
+			ev, ok := q.PopUntil(math.MaxInt64)
+			if !ok {
+				break
+			}
 			if ev.t > now {
 				now = ev.t
 			}

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // evKind enumerates the simulator's event types.
 type evKind uint8
 
@@ -59,10 +61,15 @@ func before(x, y *event) bool {
 // Since `now` is non-decreasing and seq is globally increasing, the pending
 // events of each of those kinds are already in (t, seq) order at insertion:
 // they live in plain FIFO rings with O(1) push and pop. Only evCall events
-// (traffic-generator callbacks at arbitrary times) need a real heap. A pop
-// compares the heads of the four rings and the heap — a constant-size
-// tournament — and takes the (t, seq) minimum, so the pop order is exactly
-// that of a single global heap.
+// (traffic-generator callbacks at arbitrary times) need a real heap.
+//
+// Most events are flit arrivals, so the queue caches the (t, seq) minimum
+// over every other source — the route, startup and watchdog rings and the
+// heap. A pop then selects the head once, comparing the arrive-ring head
+// with that one cached event, and takes the (t, seq) minimum, so the pop
+// order is exactly that of a single global heap. Pushes to and pops from
+// the arrive ring leave the cache valid; any other push or pop invalidates
+// it, and the next pop recomputes it.
 //
 // Pushes that would violate a ring's monotonicity (possible only if a
 // latency constant changed mid-run, which the engine never does) fall back
@@ -70,10 +77,18 @@ func before(x, y *event) bool {
 type eventQueue struct {
 	rings [numRingKinds]fifoRing
 	heap  tieredHeap
-	n     int
+	// rest caches the earliest event outside the arrive ring; restSrc is
+	// the ring kind holding it, restHeap or restNone (those sources are
+	// empty). restOK reports whether the cache is current.
+	rest    event
+	restSrc int8
+	restOK  bool
 }
 
-func (q *eventQueue) Len() int { return q.n }
+const (
+	restHeap int8 = -1
+	restNone int8 = -2
+)
 
 // Reset empties the queue while retaining every ring buffer and both heap
 // tiers at their grown capacity. Events are pointer-free, so stale entries
@@ -86,62 +101,71 @@ func (q *eventQueue) Reset() {
 	q.heap.ev = q.heap.ev[:0]
 	q.heap.far = q.heap.far[:0]
 	q.heap.split = 0
-	q.n = 0
+	q.restOK = false
 }
 
 // Push inserts an event.
 func (q *eventQueue) Push(e event) {
-	q.n++
 	if int(e.kind) < numRingKinds {
 		r := &q.rings[e.kind]
 		if r.size == 0 || e.t >= r.lastT {
 			r.push(e)
+			if e.kind != evArrive {
+				q.restOK = false
+			}
 			return
 		}
 	}
-	q.heap.Push(e)
+	q.restOK = false
+	q.heap.push(e)
 }
 
-// pick returns the queue holding the global (t, seq) minimum: one of the
-// rings, or nil for the heap. The queue must be non-empty.
-func (q *eventQueue) pick() *fifoRing {
-	var best *event
-	var bestRing *fifoRing
-	for i := range q.rings {
-		r := &q.rings[i]
-		if r.size == 0 {
-			continue
+// PopUntil removes and returns the earliest event if its time is at most
+// limit. It reports false, leaving the queue as it was, when the queue is
+// empty or its earliest event lies beyond limit.
+func (q *eventQueue) PopUntil(limit int64) (event, bool) {
+	if !q.restOK {
+		q.refreshRest()
+	}
+	if a := &q.rings[evArrive]; a.size > 0 {
+		h := a.peek()
+		if q.restSrc == restNone || before(h, &q.rest) {
+			if h.t > limit {
+				return event{}, false
+			}
+			return a.pop(), true
 		}
-		h := r.peek()
-		if best == nil || before(h, best) {
-			best = h
-			bestRing = r
+	} else if q.restSrc == restNone {
+		return event{}, false
+	}
+	if q.rest.t > limit {
+		return event{}, false
+	}
+	q.restOK = false
+	if q.restSrc == restHeap {
+		return q.heap.pop(), true
+	}
+	return q.rings[q.restSrc].pop(), true
+}
+
+// refreshRest recomputes the cached minimum over every source but the
+// arrive ring.
+func (q *eventQueue) refreshRest() {
+	q.restOK = true
+	q.restSrc = restNone
+	for k := evRoute; int(k) < numRingKinds; k++ {
+		r := &q.rings[k]
+		if r.size > 0 && (q.restSrc == restNone || before(r.peek(), &q.rest)) {
+			q.rest = *r.peek()
+			q.restSrc = int8(k)
 		}
 	}
 	if q.heap.Len() > 0 {
-		h := q.heap.peekPtr()
-		if best == nil || before(h, best) {
-			return nil
+		if h := q.heap.peekPtr(); q.restSrc == restNone || before(h, &q.rest) {
+			q.rest = *h
+			q.restSrc = restHeap
 		}
 	}
-	return bestRing
-}
-
-// Pop removes and returns the earliest event. It panics on an empty queue.
-func (q *eventQueue) Pop() event {
-	q.n--
-	if r := q.pick(); r != nil {
-		return r.pop()
-	}
-	return q.heap.Pop()
-}
-
-// PeekTime returns the timestamp of the earliest event.
-func (q *eventQueue) PeekTime() int64 {
-	if r := q.pick(); r != nil {
-		return r.peek().t
-	}
-	return q.heap.peekPtr().t
 }
 
 // fifoRing is a growable power-of-two circular FIFO of events whose push
@@ -218,8 +242,8 @@ type tieredHeap struct {
 
 func (h *tieredHeap) Len() int { return len(h.ev) + len(h.far) }
 
-// Push inserts an event.
-func (h *tieredHeap) Push(e event) {
+// push inserts an event.
+func (h *tieredHeap) push(e event) {
 	if e.t > h.split {
 		h.far = append(h.far, e)
 		return
@@ -248,11 +272,16 @@ func (h *tieredHeap) promote() {
 			minT = h.far[i].t
 		}
 	}
-	h.split = minT + farWindowNs
+	// Saturate: a window past math.MaxInt64 would wrap the split negative,
+	// promote nothing and leave normalize looping forever.
+	h.split = math.MaxInt64
+	if minT <= math.MaxInt64-farWindowNs {
+		h.split = minT + farWindowNs
+	}
 	kept := h.far[:0]
 	for _, e := range h.far {
 		if e.t <= h.split {
-			h.Push(e)
+			h.push(e)
 		} else {
 			kept = append(kept, e)
 		}
@@ -268,8 +297,8 @@ func (h *tieredHeap) normalize() {
 	}
 }
 
-// Pop removes and returns the earliest event. It panics on an empty heap.
-func (h *tieredHeap) Pop() event {
+// pop removes and returns the earliest event. It panics on an empty heap.
+func (h *tieredHeap) pop() event {
 	h.normalize()
 	top := h.ev[0]
 	n := len(h.ev) - 1

@@ -135,6 +135,7 @@ func (s *Simulator) markAborted(w *Worm) {
 		return
 	}
 	w.aborted = true
+	s.anyAborted = true
 	w.AbortNs = s.now
 	s.abortScratch = append(s.abortScratch, w)
 }

@@ -49,12 +49,15 @@ type Simulator struct {
 	// events whose header was drained before they fired; abortScratch and
 	// dispatchScratch are drain-sweep scratch; onAbort/onReset are the
 	// fault engine's hooks; faultMode turns route loss into an abort.
+	// anyAborted is set once a worm of this epoch has been drained, so
+	// fault-free runs skip the per-flit abort check in onArrive.
 	staleRoutes     []int32
 	abortScratch    []*Worm
 	dispatchScratch []topology.ChannelID
 	onAbort         func(*Worm) bool
 	onReset         func()
 	faultMode       bool
+	anyAborted      bool
 
 	nextWormID  int64
 	outstanding int
@@ -104,6 +107,7 @@ func New(router *core.Router, cfg Config) (*Simulator, error) {
 	for i := range s.chans {
 		s.chans[i].credits = k
 		s.chans[i].inBuf = arena[i*k : i*k : (i+1)*k]
+		s.chans[i].toProc = s.net.IsProcessor(s.net.Channels[i].Dst)
 	}
 	return s, nil
 }
@@ -344,6 +348,7 @@ func (s *Simulator) Reset() {
 	s.pendingWork = 0
 	s.activity = 0
 	s.err = nil
+	s.anyAborted = false
 	clear(s.staleRoutes)
 	s.abortScratch = s.abortScratch[:0]
 	s.dispatchScratch = s.dispatchScratch[:0]
@@ -387,8 +392,12 @@ func (s *Simulator) startNextInjection(pi int32) {
 // Run processes events until the heap is exhausted, simulated time passes
 // `until`, or an error is detected. It returns the sticky error, if any.
 func (s *Simulator) Run(until int64) error {
-	for s.err == nil && s.heap.Len() > 0 && s.heap.PeekTime() <= until {
-		s.step()
+	for s.err == nil {
+		ev, ok := s.heap.PopUntil(until)
+		if !ok {
+			break
+		}
+		s.step(ev)
 	}
 	return s.err
 }
@@ -396,8 +405,12 @@ func (s *Simulator) Run(until int64) error {
 // RunUntilIdle processes events until no worms are outstanding (or the time
 // cap passes, which is reported as an error unless everything completed).
 func (s *Simulator) RunUntilIdle(cap int64) error {
-	for s.err == nil && s.outstanding > 0 && s.heap.Len() > 0 && s.heap.PeekTime() <= cap {
-		s.step()
+	for s.err == nil && s.outstanding > 0 {
+		ev, ok := s.heap.PopUntil(cap)
+		if !ok {
+			break
+		}
+		s.step(ev)
 	}
 	if s.err != nil {
 		return s.err
@@ -414,8 +427,8 @@ func (s *Simulator) fail(format string, args ...any) {
 	}
 }
 
-func (s *Simulator) step() {
-	ev := s.heap.Pop()
+// step processes one event popped from the queue.
+func (s *Simulator) step(ev event) {
 	s.now = ev.t
 	s.counters.Events++
 	if s.counters.Events > s.cfg.MaxEvents {
@@ -600,7 +613,7 @@ func (s *Simulator) onArrive(c topology.ChannelID) {
 	} else {
 		cs.payloadCount++
 	}
-	if fl.w != nil && fl.w.aborted {
+	if s.anyAborted && fl.w != nil && fl.w.aborted {
 		// The worm was drained while this flit was on the wire: the flit
 		// completes its flight into nothing. Its input-buffer slot was
 		// never used, so the credit returns, and the freed output buffer
@@ -621,12 +634,10 @@ func (s *Simulator) onArrive(c topology.ChannelID) {
 		}
 		return
 	}
-	dst := s.net.Chan(c).Dst
-
-	if s.net.IsProcessor(dst) {
+	if cs.toProc {
 		// Consumption: the processor drains its input instantly.
 		cs.credits++
-		s.consume(dst, fl)
+		s.consume(s.net.Chan(c).Dst, fl)
 	} else {
 		cs.inBuf = append(cs.inBuf, fl)
 		if fl.kind != Bubble {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -396,5 +398,50 @@ func TestOnDeliveredAndOnCompleteHooks(t *testing.T) {
 	}
 	if len(delivered) != 2 || !completed {
 		t.Fatalf("hooks: delivered=%v completed=%v", delivered, completed)
+	}
+}
+
+// TestFarFutureSubmissionReachesTimeCap: a submission within one far-tier
+// window of math.MaxInt64 must not wrap the tiered heap's split negative.
+// The engine has to stop at the time cap and report the worm outstanding
+// instead of spinning in the far-tier promotion; the run is watched by a
+// deadline so a hang fails the test rather than stalling the suite.
+func TestFarFutureSubmissionReachesTimeCap(t *testing.T) {
+	sp, err := topology.ParseSpec("torus:4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sp.Build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := updown.New(net, updown.RootMinID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(core.NewRouter(lab), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := func(i int) topology.NodeID { return topology.NodeID(net.NumSwitches + i) }
+	if _, err := s.Submit(0, proc(0), []topology.NodeID{proc(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(math.MaxInt64, proc(2), []topology.NodeID{proc(3)}); err != nil {
+		t.Fatal(err)
+	}
+	// A short cap keeps the idle watchdog ticks between the two worms few.
+	done := make(chan error, 1)
+	go func() { done <- s.RunUntilIdle(1e9) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "outstanding at time cap") {
+			t.Fatalf("RunUntilIdle = %v, want the outstanding-at-time-cap error", err)
+		}
+		if s.Outstanding() != 1 {
+			t.Fatalf("%d worms outstanding, want the far-future one", s.Outstanding())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine still running after 10 s: far-future event never reached the time cap")
 	}
 }

@@ -166,6 +166,7 @@ type chanState struct {
 	outBuf   flit
 	outOcc   bool // output buffer holds a flit (possibly in flight)
 	inFlight bool // the wire is busy transmitting outBuf
+	toProc   bool // the destination is a processor (fixed at New)
 	credits  int  // free input-buffer slots at the destination
 	reserved *segment
 	ocrq     []*segment

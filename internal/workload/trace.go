@@ -29,6 +29,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -351,7 +352,13 @@ func (st *replayState) complete(w *sim.Worm, t int64) {
 		return
 	}
 	for _, c := range st.kids[i] {
-		if err := st.submit(c, t+st.tr.Msgs[c].At); err != nil {
+		// Saturate: a delay past math.MaxInt64 keeps the dependent beyond
+		// the horizon instead of wrapping negative and running at once.
+		at := int64(math.MaxInt64)
+		if d := st.tr.Msgs[c].At; d <= math.MaxInt64-t {
+			at = t + d
+		}
+		if err := st.submit(c, at); err != nil {
 			st.g.setHookErr(err)
 			return
 		}

@@ -3,6 +3,7 @@ package workload
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -254,5 +255,74 @@ func TestTraceBudget(t *testing.T) {
 	}
 	if got := Budget(Replay{}, 4); got != 0 {
 		t.Fatalf("nil-trace replay budget %d, want 0", got)
+	}
+}
+
+// torusReplayRunner returns a runner on torus:4x4 (16 processors) with a
+// ten-second simulated horizon, short enough that the idle watchdog ticks
+// before the horizon stay few.
+func torusReplayRunner(t *testing.T) *Runner {
+	t.Helper()
+	sp, err := topology.ParseSpec("torus:4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sp.Build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := updown.New(net, updown.RootMinID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(core.NewRouter(lab), smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MaxSimTimeNs = 1e10
+	return r
+}
+
+// replayWithin replays trace text on r and returns the trial error, failing
+// the test if the trial has not returned within the deadline.
+func replayWithin(t *testing.T, r *Runner, text string, deadline time.Duration) error {
+	t.Helper()
+	tr, err := ParseTrace(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- r.Trial(Replay{Trace: tr}, 1) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(deadline):
+		t.Fatalf("replay still running after %v", deadline)
+		return nil
+	}
+}
+
+// TestReplayFarFutureMessageReportsOutstanding: a message due within one
+// far-tier window of math.MaxInt64 — which an inline /run trace can carry —
+// must leave the trial outstanding at the horizon, not hang the engine.
+func TestReplayFarFutureMessageReportsOutstanding(t *testing.T) {
+	r := torusReplayRunner(t)
+	err := replayWithin(t, r, "trace 1\nprocs 16\nmsg 0 0 1\nmsg 9223372036854775807 2 3\n", 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "outstanding at time cap") {
+		t.Fatalf("trial = %v, want the outstanding-at-time-cap error", err)
+	}
+}
+
+// TestReplayDepDelayOverflowReportsOutstanding: a dep delay that overflows
+// int64 past its parent's completion time must keep the dependent beyond
+// the horizon. Wrapped, it ran at once and the trial reported success.
+func TestReplayDepDelayOverflowReportsOutstanding(t *testing.T) {
+	r := torusReplayRunner(t)
+	err := replayWithin(t, r, "trace 1\nprocs 16\nmsg 0 0 1\ndep 0 9223372036854775807 2 3\n", 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "outstanding at time cap") {
+		t.Fatalf("trial = %v, want the outstanding-at-time-cap error", err)
+	}
+	if ws := r.Worms(); len(ws) != 2 || !ws[0].Completed() || ws[1].Completed() {
+		t.Fatal("want the parent completed and its dependent still pending")
 	}
 }

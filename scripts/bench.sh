@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — the PR perf-trajectory smoke target.
 #
-# Runs the reduced-effort benchmark suite (Figure 2, Figure 3, the two
-# engine microbenchmarks, the PR 2 reusable-session sweep pair, the PR 4
+# Runs the reduced-effort benchmark suite (Figure 2, Figure 3, the three
+# engine ladder rungs, the reusable-session sweep pair, the
 # fault-injection reconfiguration pair, the PR 6 fleet pair, the PR 7
 # scale trio, the PR 9 telemetry on/off pairs and the PR 10 routing-policy
 # decision/latency sweeps) and writes a JSON
@@ -11,15 +11,24 @@
 # is tracked in-repo. The snapshot is gated through scripts/benchcmp,
 # which rejects malformed JSON and duplicate keys.
 #
+# The ladder rungs (RoutingDecision, RoutingDecisionReference and
+# SimulatorThroughput, which reports ns/event and events/broadcast) run at
+# auto benchtime, five times each. Their snapshot entries hold the median
+# of every metric plus its nearest-rank quartiles (<metric>_q1, <metric>_q3)
+# and the sample count, so a claim can be judged against the spread rather
+# than one sample.
+#
 # Usage:
-#   scripts/bench.sh [out.json]      # default out: BENCH_PR10.json
+#   scripts/bench.sh [out.json]      # default out: BENCH.json; the "pr"
+#                                    # field is read from a BENCH_PR<n>.json name
 #   BENCHTIME=3x scripts/bench.sh    # steadier figure numbers (default 1x)
 #   BENCHLARGE=1 scripts/bench.sh    # include the 62500-switch compile cell
 #                                    # (~15 GiB RAM, ~an hour on one core)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR10.json}"
+OUT="${1:-BENCH.json}"
+PR_NUM=$(basename "$OUT" | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$/\1/p')
 BENCHTIME="${BENCHTIME:-1x}"
 # Go appends "-$GOMAXPROCS" to benchmark names unless GOMAXPROCS is 1; the
 # emitter below must strip exactly that suffix (a generic trailing -<digits>
@@ -44,8 +53,14 @@ BASE_SIMTP_NS=6802676
 BASE_SIMTP_ALLOCS=1939
 
 RAW=$(go test -run '^$' \
-	-bench 'BenchmarkFig2_SingleMulticast|BenchmarkFig3_MixedTraffic|BenchmarkRoutingDecision|BenchmarkRoutingDecisionReference|BenchmarkSimulatorThroughput' \
+	-bench 'BenchmarkFig2_SingleMulticast|BenchmarkFig3_MixedTraffic' \
 	-benchmem -benchtime "$BENCHTIME" . 2>&1 | grep -E '^Benchmark' || true)
+
+# Ladder rungs: one routing-table lookup (and its reference), and the engine
+# rung (ns/event, events/broadcast), repeated at auto benchtime.
+LADDER_RAW=$(go test -run '^$' \
+	-bench '^(BenchmarkRoutingDecision|BenchmarkRoutingDecisionReference|BenchmarkSimulatorThroughput)$' \
+	-benchmem -count 5 . 2>&1 | grep -E '^Benchmark' || true)
 
 # PR 2: reusable-session sweep — fresh-simulator-per-trial vs Reset on the
 # same Fig3-style mixed-traffic trial, plus the Reset call itself.
@@ -102,12 +117,13 @@ RSWEEP_RAW=$(go test -run '^$' \
 	-bench 'BenchmarkRoutingLatencySweep' \
 	-benchmem -benchtime "${RSWEEP_BENCHTIME:-1x}" . 2>&1 | grep -E '^Benchmark' || true)
 
-if [ -z "$RAW" ] || [ -z "$SWEEP_RAW" ] || [ -z "$FAULT_RAW" ] || [ -z "$FLEET_RAW" ] || [ -z "$SCALE_RAW" ] || [ -z "$DIST_RAW" ] || [ -z "$TELEM_RAW" ] || [ -z "$ROUTING_RAW" ] || [ -z "$RSWEEP_RAW" ]; then
+if [ -z "$RAW" ] || [ -z "$LADDER_RAW" ] || [ -z "$SWEEP_RAW" ] || [ -z "$FAULT_RAW" ] || [ -z "$FLEET_RAW" ] || [ -z "$SCALE_RAW" ] || [ -z "$DIST_RAW" ] || [ -z "$TELEM_RAW" ] || [ -z "$ROUTING_RAW" ] || [ -z "$RSWEEP_RAW" ]; then
 	echo "bench.sh: no benchmark output" >&2
 	exit 1
 fi
 
 ALL_RAW="$RAW
+$LADDER_RAW
 $SWEEP_RAW
 $FAULT_RAW
 $FLEET_RAW
@@ -119,7 +135,7 @@ $RSWEEP_RAW"
 
 {
 	printf '{\n'
-	printf '  "pr": 10,\n'
+	printf '  "pr": %s,\n' "${PR_NUM:-null}"
 	printf '  "benchtime": "%s",\n' "$BENCHTIME"
 	printf '  "sweep_benchtime": "%s",\n' "$SWEEP_BENCHTIME"
 	printf '  "go": "%s",\n' "$(go env GOVERSION)"
@@ -142,20 +158,48 @@ $RSWEEP_RAW"
 			if (procs != 1)
 				sub("-" procs "$", "", name)
 			sub(/^Benchmark/, "", name)
-			line = sprintf("    \"%s\": {", name)
-			sep = ""
+			if (!(name in samples))
+				names[++n] = name
+			k = ++samples[name]
 			for (i = 3; i < NF; i += 2) {
 				unit = $(i + 1)
 				gsub(/[\/-]/, "_", unit)
-				line = line sprintf("%s\"%s\": %s", sep, unit, $i)
-				sep = ", "
+				if (!((name, unit) in nvals))
+					units[name, ++nunits[name]] = unit
+				vals[name, unit, ++nvals[name, unit]] = $i
 			}
-			line = line "}"
-			lines[++n] = line
 		}
 		END {
-			for (i = 1; i <= n; i++)
-				printf("%s%s\n", lines[i], i < n ? "," : "")
+			# A benchmark run once keeps its sample; a repeated one reports
+			# the median of each metric and its nearest-rank quartiles.
+			for (i = 1; i <= n; i++) {
+				name = names[i]
+				line = sprintf("    \"%s\": {", name)
+				sep = ""
+				for (u = 1; u <= nunits[name]; u++) {
+					unit = units[name, u]
+					k = nvals[name, unit]
+					for (j = 1; j <= k; j++)
+						a[j] = vals[name, unit, j] + 0
+					for (j = 2; j <= k; j++) {
+						v = a[j]
+						for (m = j - 1; m >= 1 && a[m] > v; m--)
+							a[m + 1] = a[m]
+						a[m + 1] = v
+					}
+					if (k == 1) {
+						line = line sprintf("%s\"%s\": %s", sep, unit, vals[name, unit, 1])
+					} else {
+						med = k % 2 ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2
+						line = line sprintf("%s\"%s\": %.10g, \"%s_q1\": %.10g, \"%s_q3\": %.10g",
+							sep, unit, med, unit, a[int((k + 3) / 4)], unit, a[int((3 * k + 3) / 4)])
+					}
+					sep = ", "
+				}
+				if (samples[name] > 1)
+					line = line sprintf("%s\"samples\": %d", sep, samples[name])
+				printf("%s}%s\n", line, i < n ? "," : "")
+			}
 		}
 	'
 	printf '  },\n'
