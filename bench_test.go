@@ -398,8 +398,9 @@ func BenchmarkSessionReset(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw engine speed on a 128-node
 // broadcast (the microbenchmark that bounds every experiment's wall-clock
-// cost): ns/event is the engine rung of the perf ladder, events/broadcast
-// the work one broadcast takes.
+// cost). ns/flit-hop is the engine rung of the perf ladder: it compares
+// across engine versions, while ns/event and events/broadcast count engine
+// steps, which flit trains coalesce (one step per tick, not per flit-hop).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	sys, err := NewLattice(128, WithSeed(7))
 	if err != nil {
@@ -407,7 +408,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	procs := sys.Processors()
 	b.ResetTimer()
-	var events uint64
+	var events, hops uint64
 	for i := 0; i < b.N; i++ {
 		sess, err := sys.NewSession()
 		if err != nil {
@@ -419,8 +420,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err := sess.Run(); err != nil {
 			b.Fatal(err)
 		}
-		events += sess.Counters().Events
+		c := sess.Counters()
+		events += c.Events
+		hops += c.PayloadFlitHops
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/flit-hop")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(events)/float64(b.N), "events/broadcast")
 }

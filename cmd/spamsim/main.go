@@ -376,7 +376,7 @@ func runScenario(name string, params workload.Params, simCfg sim.Config, nodes, 
 	t.AddRow("observations", fmt.Sprintf("%d", st.Count()))
 	t.AddRow("samples (batch means)", fmt.Sprintf("%d", st.N()))
 	t.AddRow("messages (last trial)", fmt.Sprintf("%d", c.WormsCompleted))
-	t.AddRow("events (last trial)", fmt.Sprintf("%d", c.Events))
+	t.AddRow("engine steps (last trial)", fmt.Sprintf("%d", c.Events))
 	t.AddRow("payload flit-hops (last trial)", fmt.Sprintf("%d", c.PayloadFlitHops))
 	if router.Policy() != core.PolicyBaseline {
 		t.AddRow("adaptive / misroute hops (last trial)", fmt.Sprintf("%d / %d", c.AdaptiveHops, c.MisrouteHops))

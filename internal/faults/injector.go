@@ -229,6 +229,7 @@ func (in *Injector) Install(script Script, pol Policy) error {
 	in.met = Metrics{DisruptHist: hist}
 	clear(in.origin)
 	clear(in.downSince)
+	in.sim.DeclareFaultTrial()
 	in.script = script
 	in.cursor = 0
 	in.pol = pol

@@ -102,7 +102,7 @@ func newServeMetrics(reg *telemetry.Registry, s *Service) *serveMetrics {
 	reg.NewCounterFunc("spamserve_admission_rejections_total", "", "requests refused by admission control", s.rejected.Load)
 	m.trialSeconds = reg.NewHistogram("spamserve_trial_seconds", "", "per-trial wall clock in seconds")
 
-	m.simEvents = reg.NewCounter("spamserve_sim_events_total", "", "engine events executed across all trials")
+	m.simEvents = reg.NewCounter("spamserve_sim_events_total", "", "engine steps (Counters.Events) executed across all trials")
 	m.simSubmitted = reg.NewCounter("spamserve_sim_worms_submitted_total", "", "worms submitted across all trials")
 	m.simCompleted = reg.NewCounter("spamserve_sim_worms_completed_total", "", "worms completed across all trials")
 	m.simPayloadHops = reg.NewCounter("spamserve_sim_payload_flit_hops_total", "", "payload flit hops across all trials")

@@ -137,3 +137,36 @@ func TestSteadyStateAllocsIndependentOfFanout(t *testing.T) {
 		t.Fatalf("allocs scale with fan-out: %v (63 dests) vs %v (4 dests)", largeAllocs, smallAllocs)
 	}
 }
+
+// TestTrainTrialAllocFree extends the steady-state claim to flit trains: a
+// warm fig3-style trial (90% unicast, 10% multicast of up to 64
+// destinations on the 128-switch lattice) in which trains open, replay and
+// close allocates nothing.
+func TestTrainTrialAllocFree(t *testing.T) {
+	r := allocTestRouter(t, 128)
+	s, err := New(r, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := makeTrialPlan(r, 3, 150, 64)
+	trial := func() {
+		s.Reset()
+		for m := range plan.at {
+			if _, err := s.Submit(plan.at[m], plan.src[m], plan.dests[m]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.RunUntilIdle(idleCap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trial()
+	trial()
+	opened, hops := s.trainsOpened, s.trainHops
+	if n := testing.AllocsPerRun(50, trial); n != 0 {
+		t.Fatalf("warm trial with flit trains allocated %v allocs/run, want 0", n)
+	}
+	if s.trainsOpened == opened || s.trainHops == hops {
+		t.Fatalf("no train opened during the measured trials (opened %d, hops %d)", s.trainsOpened-opened, s.trainHops-hops)
+	}
+}

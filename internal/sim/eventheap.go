@@ -203,6 +203,11 @@ func (r *fifoRing) peek() *event {
 	return &r.buf[r.head]
 }
 
+// at returns the i-th queued event (0 = head); i must be below size.
+func (r *fifoRing) at(i int) *event {
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
+
 func (r *fifoRing) pop() event {
 	e := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)

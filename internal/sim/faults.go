@@ -97,6 +97,9 @@ func (s *Simulator) RecomputeQueuedLCAs() {
 // For each drained worm the abort hook decides retry responsibility; see
 // SetAbortHook.
 func (s *Simulator) AbortWorms(channels []topology.ChannelID) int {
+	// A drain outside a declared fault trial: trains only replay from
+	// here on (see stopTrains).
+	s.stopTrains()
 	s.abortScratch = s.abortScratch[:0]
 	if channels == nil {
 		for _, w := range s.worms {

@@ -26,6 +26,7 @@ type ChannelLoad struct {
 // here: channels adjacent to the spanning-tree root dominate under large
 // multicasts.
 func (s *Simulator) ChannelLoads() []ChannelLoad {
+	s.settleTrains()
 	out := make([]ChannelLoad, 0, len(s.chans))
 	for c := range s.chans {
 		cs := &s.chans[c]
@@ -52,6 +53,7 @@ func (s *Simulator) ChannelLoads() []ChannelLoad {
 // NodeThroughLoad sums payload flits over all channels entering a node —
 // a direct measure of how hot a switch runs.
 func (s *Simulator) NodeThroughLoad(n topology.NodeID) uint64 {
+	s.settleTrains()
 	var total uint64
 	for _, c := range s.net.In(n) {
 		total += s.chans[c].payloadCount
@@ -64,6 +66,7 @@ func (s *Simulator) NodeThroughLoad(n topology.NodeID) uint64 {
 // This quantifies the paper's Section 5 observation that large multicasts
 // concentrate traffic at the root.
 func (s *Simulator) RootShare(root topology.NodeID) float64 {
+	s.settleTrains()
 	var total, atRoot uint64
 	for c := range s.chans {
 		ch := s.net.Chan(topology.ChannelID(c))

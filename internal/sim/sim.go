@@ -15,8 +15,10 @@ import (
 // from the router's compiled tables (or are appended into per-segment scratch
 // buffers), segments are recycled through a free list, scheduled closures
 // live in a slot-recycled call table, and every queue (event heap, OCRQs,
-// input buffers, injection queues) reuses its backing storage. Per-worm
-// bookkeeping (the Worm struct itself) is the only steady-state allocation.
+// input buffers, injection queues) reuses its backing storage, and Worm
+// structs recycle through a pool across Reset epochs. A worm in its clean
+// window advances as a flit train (train.go): one queue entry per tick
+// instead of one event per flit-hop.
 type Simulator struct {
 	router *core.Router
 	net    *topology.Network
@@ -35,8 +37,11 @@ type Simulator struct {
 	// calls stores evCall closures by slot; callFree recycles slots.
 	calls    []func()
 	callFree []int32
-	// segFree recycles dead segments (and their outs/copied buffers).
+	// segFree recycles dead segments (and their outs/copied buffers);
+	// maxOuts, the largest out-degree of any node, sizes those buffers
+	// once so a recycled segment never regrows them.
 	segFree []*segment
+	maxOuts int
 	// pruneScratch collects blocked channels during pruneBlocked.
 	pruneScratch []topology.ChannelID
 	// worms holds every worm submitted this epoch in submit order; evInject
@@ -81,6 +86,26 @@ type Simulator struct {
 	activity    uint64 // non-watchdog events processed
 	tracer      func(TraceEvent)
 	err         error
+
+	// Flit trains (see train.go). trains holds the train structs by
+	// index (train queue entries carry -(index+1)); trainFree recycles
+	// indices. While a train replays a tick, capturing routes every event
+	// scheduled for capT into capBuf. trainGate is fixed at New by the
+	// configuration; trainsOn is re-derived at Reset and cleared for the
+	// epoch by a fault script or a drain; perFlit is the test-only switch
+	// that forces per-flit stepping. walkBuf is walkTree scratch;
+	// trainsOpened and trainHops count trains and their arithmetic hops.
+	trains       []*train
+	trainFree    []int32
+	capturing    bool
+	capT         int64
+	capBuf       []trainEntry
+	trainGate    bool
+	trainsOn     bool
+	perFlit      bool
+	walkBuf      []topology.ChannelID
+	trainsOpened uint64
+	trainHops    uint64
 }
 
 // New builds a simulator over the given SPAM router.
@@ -97,6 +122,11 @@ func New(router *core.Router, cfg Config) (*Simulator, error) {
 		procs:       make([]procState, router.Net.NumProcs),
 		segAtInput:  make([]*segment, len(router.Net.Channels)),
 		staleRoutes: make([]int32, len(router.Net.Channels)),
+		trainGate:   trainsAllowed(cfg),
+	}
+	s.trainsOn = s.trainGate
+	for n := 0; n < s.net.N(); n++ {
+		s.maxOuts = max(s.maxOuts, len(s.net.Out(topology.NodeID(n))))
 	}
 	// Credits bound each input FIFO to InputBufFlits, so its capacity
 	// never needs to grow: one shared arena, sliced with hard capacity
@@ -134,10 +164,14 @@ func (s *Simulator) Outstanding() int { return s.outstanding }
 func (s *Simulator) Err() error { return s.err }
 
 func (s *Simulator) schedule(t int64, kind evKind, a int32) {
-	s.seq++
 	if kind != evWatchdog {
 		s.pendingWork++
 	}
+	if s.capturing && t == s.capT {
+		s.capBuf = append(s.capBuf, trainEntry{a: a, kind: kind})
+		return
+	}
+	s.seq++
 	s.heap.Push(event{t: t, seq: s.seq, kind: kind, a: a})
 }
 
@@ -152,9 +186,7 @@ func (s *Simulator) scheduleCall(t int64, fn func()) {
 		idx = int32(len(s.calls))
 		s.calls = append(s.calls, fn)
 	}
-	s.seq++
-	s.pendingWork++
-	s.heap.Push(event{t: t, seq: s.seq, kind: evCall, a: idx})
+	s.schedule(t, evCall, idx)
 }
 
 // newSegment returns a reset segment, reusing a recycled one when available.
@@ -164,7 +196,11 @@ func (s *Simulator) newSegment() *segment {
 		s.segFree = s.segFree[:n-1]
 		return seg
 	}
-	return &segment{in: topology.None}
+	return &segment{
+		in:     topology.None,
+		outs:   make([]topology.ChannelID, 0, s.maxOuts),
+		copied: make([]bool, 0, s.maxOuts),
+	}
 }
 
 // freeSegment recycles a dead segment. Callers must guarantee no reference
@@ -217,6 +253,7 @@ func (s *Simulator) recycleWorm(w *Worm) {
 	w.MisrouteLeft = 0
 	w.AbortNs = 0
 	w.Retry = 0
+	w.treeSize = 0
 	w.completed = false
 	w.launched = false
 	w.aborted = false
@@ -267,6 +304,9 @@ func (s *Simulator) Submit(at int64, src topology.NodeID, dests []topology.NodeI
 		w.MisrouteLeft = int32(s.cfg.MisrouteBudget)
 	}
 	w.remaining = len(dests)
+	w.hdrPending = len(dests)
+	w.bubbles = 0
+	w.trainTick = -1
 	s.outstanding++
 	s.counters.WormsSubmitted++
 	s.armWatchdog()
@@ -352,6 +392,7 @@ func (s *Simulator) Reset() {
 	clear(s.staleRoutes)
 	s.abortScratch = s.abortScratch[:0]
 	s.dispatchScratch = s.dispatchScratch[:0]
+	s.resetTrains()
 	if s.onReset != nil {
 		// The fault engine restores the base labeling and tables so a
 		// reset simulator routes bit-identically to a fresh one.
@@ -427,7 +468,8 @@ func (s *Simulator) fail(format string, args ...any) {
 	}
 }
 
-// step processes one event popped from the queue.
+// step processes one entry popped from the queue: an event, or one tick of
+// a flit train.
 func (s *Simulator) step(ev event) {
 	s.now = ev.t
 	s.counters.Events++
@@ -435,26 +477,46 @@ func (s *Simulator) step(ev event) {
 		s.fail("event budget %d exhausted at t=%d", s.cfg.MaxEvents, s.now)
 		return
 	}
+	if ev.kind == evArrive {
+		if ev.a < 0 {
+			s.activity++
+			s.runTrain(-ev.a - 1)
+			return
+		}
+		if s.trainsOn {
+			// Cheap screen before the opening attempt: a clean worm not
+			// yet tried at this tick.
+			if w := s.chans[ev.a].outBuf.w; w != nil && w.hdrPending == 0 && w.bubbles == 0 &&
+				w.trainTick != s.now && s.openTrain(ev, w) {
+				return
+			}
+		}
+	}
 	if ev.kind != evWatchdog {
 		s.pendingWork--
 		s.activity++
 	}
-	switch ev.kind {
+	s.dispatch(ev.kind, ev.a)
+}
+
+// dispatch runs the handler of one event.
+func (s *Simulator) dispatch(kind evKind, a int32) {
+	switch kind {
 	case evArrive:
-		s.onArrive(topology.ChannelID(ev.a))
+		s.onArrive(topology.ChannelID(a))
 	case evRoute:
-		s.onRoute(topology.ChannelID(ev.a))
+		s.onRoute(topology.ChannelID(a))
 	case evStartup:
-		s.onStartup(ev.a)
+		s.onStartup(a)
 	case evWatchdog:
 		s.onWatchdog()
 	case evCall:
-		fn := s.calls[ev.a]
-		s.calls[ev.a] = nil
-		s.callFree = append(s.callFree, ev.a)
+		fn := s.calls[a]
+		s.calls[a] = nil
+		s.callFree = append(s.callFree, a)
 		fn()
 	case evInject:
-		s.enqueueWorm(s.worms[ev.a])
+		s.enqueueWorm(s.worms[a])
 	}
 }
 
@@ -562,7 +624,7 @@ func (s *Simulator) sourceAdvance(seg *segment) {
 	case int(seg.nextFlit) == w.Flits-1:
 		kind = Tail
 	}
-	s.putOutBuf(o, flit{w: w, kind: kind, seq: seg.nextFlit})
+	s.putOutBuf(o, flit{w: w, kind: kind})
 	seg.nextFlit++
 	if kind == Tail {
 		s.releaseChannels(seg)
@@ -669,9 +731,13 @@ func (s *Simulator) onArrive(c topology.ChannelID) {
 
 // consume handles a flit arriving at a destination processor.
 func (s *Simulator) consume(proc topology.NodeID, fl flit) {
-	if fl.kind == Bubble {
+	switch fl.kind {
+	case Bubble:
 		s.counters.BubbleFlitHops++
+		fl.w.bubbles--
 		return
+	case Header:
+		fl.w.hdrPending--
 	}
 	s.counters.PayloadFlitHops++
 	if fl.kind != Tail {
@@ -892,9 +958,11 @@ func (s *Simulator) segAdvance(seg *segment) {
 		// branch is in sync; laggard-free branches simply miss it).
 		for _, o := range seg.outs {
 			if !s.chans[o].outOcc {
+				seg.worm.bubbles++
 				s.putOutBuf(o, flit{w: seg.worm, kind: Bubble})
 			}
 		}
+		seg.worm.bubbles--
 		s.popInput(seg.in)
 		return
 	}
@@ -933,6 +1001,7 @@ func (s *Simulator) segAdvance(seg *segment) {
 	if head.kind != Tail {
 		for i, o := range seg.outs {
 			if seg.copied[i] && !s.chans[o].outOcc {
+				seg.worm.bubbles++
 				s.putOutBuf(o, flit{w: seg.worm, kind: Bubble})
 			}
 		}

@@ -41,8 +41,7 @@ func (k FlitKind) String() string {
 type flit struct {
 	w    *Worm
 	kind FlitKind
-	seq  int32 // payload index (0 = header); undefined for bubbles
-	dist bool  // header emitted by a distribution-phase segment
+	dist bool // header emitted by a distribution-phase segment
 }
 
 // Worm is one message (unicast or multicast) from submission to delivery.
@@ -100,7 +99,16 @@ type Worm struct {
 	Retry int
 
 	remaining int
-	completed bool
+	// Flit-train bookkeeping (train.go): hdrPending counts destinations
+	// the header has not reached, bubbles the worm's live bubble flits;
+	// a worm with both at zero is clean. trainTick is the last tick a
+	// train opening was tried; treeSize caches the clean tree's channel
+	// count once walked.
+	hdrPending int
+	bubbles    int
+	trainTick  int64
+	treeSize   int
+	completed  bool
 	// launched marks worms whose source segment exists: their flits are
 	// (or were) in the network, so a drain event aborts them rather than
 	// letting them reroute.
@@ -190,6 +198,11 @@ type procState struct {
 // /run and fleet shard wires (serve surfaces per-request aggregates), so
 // the tags are part of the wire contract; every field is a deterministic
 // function of the trial and sums exactly across trials.
+//
+// Every field but Events is a model output. Events counts engine steps —
+// queue entries processed, where one flit-train tick is one step — so it is
+// deterministic per trial but may change between engine versions, and it
+// is excluded from every model-equivalence check.
 type Counters struct {
 	Events            uint64 `json:"events"`
 	WormsSubmitted    uint64 `json:"worms_submitted"`
@@ -256,7 +269,9 @@ type Config struct {
 	// StallChecks is how many consecutive no-progress watchdog intervals
 	// are tolerated before the simulator reports a stall (default 8).
 	StallChecks int
-	// MaxEvents aborts runaway simulations (default 4e9).
+	// MaxEvents aborts runaway simulations (default 4e9). It bounds
+	// Counters.Events, which counts engine steps (a flit-train tick is one
+	// step), not flit-hops.
 	MaxEvents uint64
 	// MisrouteBudget is the per-worm misroute budget under a PolicyMisroute
 	// router: how many deroute (non-minimal) channels one header may take.

@@ -12,7 +12,9 @@
 # which rejects malformed JSON and duplicate keys.
 #
 # The ladder rungs (RoutingDecision, RoutingDecisionReference and
-# SimulatorThroughput, which reports ns/event and events/broadcast) run at
+# SimulatorThroughput, which reports ns/flit-hop, ns/event and
+# events/broadcast; ns/flit-hop is the one that compares across engine
+# versions, since flit trains cut the event count) run at
 # auto benchtime, five times each. Their snapshot entries hold the median
 # of every metric plus its nearest-rank quartiles (<metric>_q1, <metric>_q3)
 # and the sample count, so a claim can be judged against the spread rather
@@ -57,7 +59,7 @@ RAW=$(go test -run '^$' \
 	-benchmem -benchtime "$BENCHTIME" . 2>&1 | grep -E '^Benchmark' || true)
 
 # Ladder rungs: one routing-table lookup (and its reference), and the engine
-# rung (ns/event, events/broadcast), repeated at auto benchtime.
+# rung (ns/flit-hop, ns/event, events/broadcast), repeated at auto benchtime.
 LADDER_RAW=$(go test -run '^$' \
 	-bench '^(BenchmarkRoutingDecision|BenchmarkRoutingDecisionReference|BenchmarkSimulatorThroughput)$' \
 	-benchmem -count 5 . 2>&1 | grep -E '^Benchmark' || true)
